@@ -38,29 +38,20 @@ type kernelBench struct {
 	AllocsPerOp uint64  `json:"allocs_per_op"`
 }
 
-// sweepPoint is one setting of the intra-cell scaling sweep: the Figure-7
-// Zoltan-repart cell timed at a fixed Options.Parallelism, with speedup
-// relative to the sweep's Parallelism=1 point. The partitions themselves
-// are byte-identical across the sweep (the determinism suites enforce it),
-// so the sweep measures pure scheduling.
-type sweepPoint struct {
-	Parallelism int     `json:"parallelism"`
-	MsPerRepart float64 `json:"ms_per_repart"`
-	Speedup     float64 `json:"speedup"`
-}
-
 // snapshot is one labeled benchmark run; the file accumulates snapshots so
 // before/after comparisons live next to each other.
 type snapshot struct {
-	Label            string        `json:"label"`
-	Date             string        `json:"date"`
-	GoMaxProcs       int           `json:"gomaxprocs"`
-	Parallelism      int           `json:"parallelism"`
-	Figures          []figureBench `json:"figures"`
-	Fig7Runtime      []methodBench `json:"fig7_runtime"`
-	ParallelismSweep []sweepPoint  `json:"parallelism_sweep,omitempty"`
-	Kernels          []kernelBench `json:"kernels,omitempty"`
-	Notes            string        `json:"notes,omitempty"`
+	Label       string        `json:"label"`
+	Date        string        `json:"date"`
+	GoMaxProcs  int           `json:"gomaxprocs"`
+	Parallelism int           `json:"parallelism"`
+	Figures     []figureBench `json:"figures"`
+	Fig7Runtime []methodBench `json:"fig7_runtime"`
+	// ParallelismSweep is carried verbatim so that rewriting the file
+	// keeps the sweeps recorded in older snapshots.
+	ParallelismSweep json.RawMessage `json:"parallelism_sweep,omitempty"`
+	Kernels          []kernelBench   `json:"kernels,omitempty"`
+	Notes            string          `json:"notes,omitempty"`
 }
 
 type benchFile struct {
@@ -68,9 +59,8 @@ type benchFile struct {
 }
 
 // runBenchJSON runs the reduced tracked benchmark suite and appends a
-// snapshot to path (creating the file if needed). A non-empty sweep also
-// times the Figure-7 Zoltan-repart cell at each listed Parallelism.
-func runBenchJSON(path, label string, parallelism int, seed int64, sweep []int) error {
+// snapshot to path (creating the file if needed).
+func runBenchJSON(path, label string, parallelism int, seed int64) error {
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
@@ -145,14 +135,6 @@ func runBenchJSON(path, label string, parallelism int, seed int64, sweep []int) 
 		})
 	}
 
-	if len(sweep) > 0 {
-		points, err := runParallelismSweep(sweep, seed)
-		if err != nil {
-			return err
-		}
-		snap.ParallelismSweep = points
-	}
-
 	var file benchFile
 	if data, err := os.ReadFile(path); err == nil {
 		if err := json.Unmarshal(data, &file); err != nil {
@@ -165,46 +147,4 @@ func runBenchJSON(path, label string, parallelism int, seed int64, sweep []int) 
 		return err
 	}
 	return os.WriteFile(path, append(out, '\n'), 0o644)
-}
-
-// runParallelismSweep times the Figure-7 Zoltan-repart cell (xyce680s,
-// structure dynamic, procs=8, α=100) at each requested Parallelism and
-// reports ms_per_repart plus speedup over the sweep's serial point (the
-// first entry if it includes 1, else a Parallelism=1 run is prepended).
-func runParallelismSweep(settings []int, seed int64) ([]sweepPoint, error) {
-	if len(settings) == 0 || settings[0] != 1 {
-		settings = append([]int{1}, settings...)
-	}
-	points := make([]sweepPoint, 0, len(settings))
-	var serialMs float64
-	for _, par := range settings {
-		cfg := harness.Config{
-			Dataset: "xyce680s", Dynamic: "structure", ScaleV: 1200,
-			Procs: []int{8}, Alphas: []int64{100},
-			Trials: 1, Epochs: 3, Seed: seed, Parallelism: par,
-		}
-		rep, err := harness.Run(cfg)
-		if err != nil {
-			return nil, err
-		}
-		var ms float64 = -1
-		for _, c := range rep.Cells {
-			if c.Method == core.HypergraphRepart {
-				ms = float64(c.RepartTime.Microseconds()) / 1000
-				break
-			}
-		}
-		if ms < 0 {
-			return nil, fmt.Errorf("parallelism-sweep: no %v cell at parallelism %d", core.HypergraphRepart, par)
-		}
-		if par == 1 {
-			serialMs = ms
-		}
-		speedup := 0.0
-		if ms > 0 && serialMs > 0 {
-			speedup = serialMs / ms
-		}
-		points = append(points, sweepPoint{Parallelism: par, MsPerRepart: ms, Speedup: speedup})
-	}
-	return points, nil
 }

@@ -45,7 +45,6 @@ func main() {
 		parallelism = flag.Int("parallelism", 0, "worker goroutines for the sweep (0 = GOMAXPROCS; results identical for every value)")
 		benchJSON   = flag.String("bench-json", "", "run the tracked benchmark suite and append a snapshot to this JSON file")
 		benchLabel  = flag.String("bench-label", "current", "label for the -bench-json snapshot")
-		parSweep    = flag.String("parallelism-sweep", "", "comma-separated Parallelism settings (e.g. 1,2,4,8): time the Figure-7 Zoltan-repart cell at each and record ms_per_repart + speedup in the -bench-json snapshot")
 		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile  = flag.String("memprofile", "", "write a heap profile to this file on exit")
 
@@ -90,18 +89,9 @@ func main() {
 		Seed: *seed, ScaleV: *scale, Parallelism: *parallelism, Warm: *warm,
 	}
 
-	var sweep []int
-	if *parSweep != "" {
-		sweep, err = parseInts(*parSweep)
-		check(err)
-		if *benchJSON == "" {
-			check(fmt.Errorf("-parallelism-sweep requires -bench-json"))
-		}
-	}
-
 	switch {
 	case *benchJSON != "":
-		check(runBenchJSON(*benchJSON, *benchLabel, *parallelism, *seed, sweep))
+		check(runBenchJSON(*benchJSON, *benchLabel, *parallelism, *seed))
 	case *par:
 		name := *dataset
 		if name == "" {

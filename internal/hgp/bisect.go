@@ -24,7 +24,7 @@ func bisect(h *hypergraph.Hypergraph, rng *rand.Rand, fixedSide []int32, frac0, 
 	if coarsenTo < 4 {
 		coarsenTo = 4
 	}
-	levels := coarsen(hf, rng, coarsenTo, opt.MinShrink, opt.MaxNetSize, !opt.DisableMatchFilter, ws, px)
+	levels := coarsen(hf, rng, coarsenTo, opt.MinShrink, opt.MaxNetSize, !opt.DisableMatchFilter, ws)
 
 	// Coarsest-level solve: multi-start GHG + FM, keep the best.
 	coarsest := levels[len(levels)-1].h

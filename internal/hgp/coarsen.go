@@ -18,13 +18,13 @@ type level struct {
 // its h is the coarsest hypergraph. Coarsening stops when the vertex count
 // drops to coarsenTo or a round shrinks the hypergraph by less than
 // minShrink.
-func coarsen(h *hypergraph.Hypergraph, rng *rand.Rand, coarsenTo int, minShrink float64, maxNetSize int, filterFixed bool, ws *workspace, px *parctx) []level {
+func coarsen(h *hypergraph.Hypergraph, rng *rand.Rand, coarsenTo int, minShrink float64, maxNetSize int, filterFixed bool, ws *workspace) []level {
 	levels := []level{{h: h}}
 	cur := h
 	for cur.NumVertices() > coarsenTo {
 		start := time.Now()
-		match := ipmMatch(cur, rng, maxNetSize, filterFixed, ws, px)
-		coarse, cmap := contractWS(cur, match, ws, px)
+		match := ipmMatch(cur, rng, maxNetSize, filterFixed, ws)
+		coarse, cmap := contractWS(cur, match, ws)
 		shrink := 1 - float64(coarse.NumVertices())/float64(cur.NumVertices())
 		lvl := len(levels) - 1
 		obsCoarsenNs.At(lvl).ObserveSince(start)

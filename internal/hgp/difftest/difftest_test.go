@@ -208,8 +208,9 @@ func TestWarmStartQuality(t *testing.T) {
 // repartition of every epoch's hypergraph — must be byte-identical at
 // every Parallelism setting, on every dataset analogue and both dynamics.
 // This is the invariant the fingerprint-keyed partition cache serves
-// results under, now carried by the deterministic kernel round structure
-// rather than by the warm path being serial.
+// results under: the kernels and the warm path are serial, and the
+// parallel RB sides and multi-starts draw their random streams from their
+// index, never from execution order.
 func TestWarmParallelismInvariance(t *testing.T) {
 	for _, ds := range datasets.Names() {
 		for _, dynamic := range []string{"weights", "structure"} {

@@ -11,18 +11,8 @@ import (
 // slower per pass than the greedy sweep in refineKway but escapes
 // shallower local minima; Options.KwayFM selects it for the final polish
 // (the A5 ablation measures the trade-off). Fixed vertices never move.
-//
-// Parallelism: the per-pass seeding — one bestMove evaluation per vertex —
-// dominates the pass on large levels and runs in parallel over index
-// shards against the pass-start snapshot; the heap is then filled serially
-// in vertex-index order from the precomputed gains, so its contents (and
-// the whole pass) are bit-identical to the serial evaluation at every
-// Parallelism value. The hill-climbing pop loop itself stays serial: each
-// pop recomputes the move against the current state (attributed gains), so
-// its result is exactly the reference schedule.
-//
 // Returns the final cut.
-func refineKwayFM(h *hypergraph.Hypergraph, k int, parts []int32, caps []int64, maxPasses int, ws *workspace, px *parctx) int64 {
+func refineKwayFM(h *hypergraph.Hypergraph, k int, parts []int32, caps []int64, maxPasses int, ws *workspace) int64 {
 	n := h.NumVertices()
 	s := ws.kwayState(h, k, parts)
 	defer s.release()
@@ -32,10 +22,6 @@ func refineKwayFM(h *hypergraph.Hypergraph, k int, parts []int32, caps []int64, 
 	mark := ws.kmark
 	ws.klocked = growBool(ws.klocked, n)
 	locked := ws.klocked
-	ws.kto = growI32(ws.kto, n)
-	ws.kgain = growI64(ws.kgain, n)
-	kto, kgain := ws.kto, ws.kgain
-	shards := kernelShards(n)
 
 	bestMove := func(v int) (int32, int64) {
 		cands := s.AdjacentParts(v, buf, mark)
@@ -59,21 +45,18 @@ func refineKwayFM(h *hypergraph.Hypergraph, k int, parts []int32, caps []int64, 
 	}
 
 	gh := &ws.heap
-	rounds := 0
 	for pass := 0; pass < maxPasses; pass++ {
-		rounds++
 		gh.reset(n)
-		px.forEach(shards, ws, func(i int, wws *workspace) {
-			lo, hi := shardRange(n, shards, i)
-			proposeFMRange(s, caps, kto, kgain, lo, hi, wws)
-		})
 		inHeap := 0
 		for v := 0; v < n; v++ {
 			locked[v] = false
-			if kto[v] >= 0 {
-				// destination stays implicit: recompute at pop (state
+			if h.Fixed(v) != hypergraph.Free {
+				continue
+			}
+			if to, gain := bestMove(v); to >= 0 {
+				// encode destination implicitly: recompute at pop (state
 				// changes invalidate it anyway); the heap orders by gain.
-				gh.update(v, kgain[v])
+				gh.update(v, gain)
 				inHeap++
 			}
 		}
@@ -139,37 +122,5 @@ func refineKwayFM(h *hypergraph.Hypergraph, k int, parts []int32, caps []int64, 
 			break
 		}
 	}
-	obsKernelRounds.Add(int64(rounds))
 	return s.Cut()
-}
-
-// proposeFMRange evaluates the pass-seeding bestMove of every free vertex
-// in [lo, hi) against the pass-start snapshot: kto[v] gets the best
-// feasible destination (-1 if none) and kgain[v] its snapshot gain. Reads
-// only the refinement state, writes only its own index range.
-func proposeFMRange(s *KwayState, caps []int64, kto []int32, kgain []int64, lo, hi int, ws *workspace) {
-	h := s.h
-	ws.kbuf = growI32(ws.kbuf, s.k)
-	ws.kmark = growBool(ws.kmark, s.k)
-	buf, mark := ws.kbuf[:0], ws.kmark
-	for v := lo; v < hi; v++ {
-		kto[v] = -1
-		if h.Fixed(v) != hypergraph.Free {
-			continue
-		}
-		cands := s.AdjacentParts(v, buf, mark)
-		var to int32 = -1
-		var gain int64 = -1 << 62
-		for _, q := range cands {
-			if s.PartWeight(q)+h.Weight(v) > caps[q] {
-				continue
-			}
-			if g := s.MoveGain(v, q); g > gain {
-				gain = g
-				to = q
-			}
-		}
-		kto[v] = to
-		kgain[v] = gain
-	}
 }

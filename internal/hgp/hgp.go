@@ -47,14 +47,13 @@ func Partition(h *hypergraph.Hypergraph, opt Options) (partition.Partition, erro
 		polishStart := time.Now()
 		var cut int64
 		if opt.KwayFM {
-			cut = refineKwayFM(h, opt.K, p.Parts, caps, opt.RefinePasses, ws, px)
+			cut = refineKwayFM(h, opt.K, p.Parts, caps, opt.RefinePasses, ws)
 		} else {
-			cut = refineKway(h, opt.K, p.Parts, caps, opt.RefinePasses, ws, px)
+			cut = refineKway(h, opt.K, p.Parts, caps, opt.RefinePasses, ws)
 		}
 		obsPolishNs.ObserveSince(polishStart)
 		obsFinalCut.Set(cut)
 	}
-	obsKernelEfficiency.Set(px.efficiencyPermille())
 	return p, nil
 }
 
@@ -65,7 +64,7 @@ func directKway(h *hypergraph.Hypergraph, rng *rand.Rand, opt Options, out []int
 	if coarsenTo < 2*opt.K {
 		coarsenTo = 2 * opt.K
 	}
-	levels := coarsen(h, rng, coarsenTo, opt.MinShrink, opt.MaxNetSize, !opt.DisableMatchFilter, ws, px)
+	levels := coarsen(h, rng, coarsenTo, opt.MinShrink, opt.MaxNetSize, !opt.DisableMatchFilter, ws)
 	coarsest := levels[len(levels)-1].h
 
 	// Coarse solution: balanced random assignment honoring fixed labels,
@@ -85,7 +84,7 @@ func directKway(h *hypergraph.Hypergraph, rng *rand.Rand, opt Options, out []int
 	px.forEach(opt.InitialStarts, ws, func(s int, sws *workspace) {
 		srng := rand.New(rand.NewSource(startSeed(baseSeed, s)))
 		parts := randomBalanced(coarsest, opt.K, opt.TargetFractions, srng)
-		cut := refineKway(coarsest, opt.K, parts, ccaps, opt.RefinePasses*2, sws, px)
+		cut := refineKway(coarsest, opt.K, parts, ccaps, opt.RefinePasses*2, sws)
 		w := make([]int64, opt.K)
 		for v, p := range parts {
 			w[p] += coarsest.Weight(v)
@@ -112,7 +111,7 @@ func directKway(h *hypergraph.Hypergraph, rng *rand.Rand, opt Options, out []int
 		refineStart := time.Now()
 		parts = project(levels[i].cmap, parts)
 		caps := capsForTargets(levels[i].h, opt.K, opt.Imbalance, opt.TargetFractions)
-		cut = refineKway(levels[i].h, opt.K, parts, caps, opt.RefinePasses, ws, px)
+		cut = refineKway(levels[i].h, opt.K, parts, caps, opt.RefinePasses, ws)
 		obsRefineNs.At(i).ObserveSince(refineStart)
 	}
 	if cut >= 0 {

@@ -203,7 +203,7 @@ func TestIPMMatchLegality(t *testing.T) {
 		fixed[v] = int32(v % 3)
 	}
 	hf := h.WithFixed(fixed)
-	match := ipmMatch(hf, rng, 500, true, newWorkspace(), newParctx(1))
+	match := ipmMatch(hf, rng, 500, true, newWorkspace())
 	for v := 0; v < 80; v++ {
 		u := int(match[v])
 		if u < 0 || u >= 80 {
@@ -224,7 +224,7 @@ func TestIPMMatchLegality(t *testing.T) {
 func TestContractConservation(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	h := randomHG(rng, 100, 160, 6)
-	match := ipmMatch(h, rng, 500, true, newWorkspace(), newParctx(1))
+	match := ipmMatch(h, rng, 500, true, newWorkspace())
 	coarse, cmap := Contract(h, match)
 	if err := coarse.Validate(); err != nil {
 		t.Fatal(err)
@@ -261,7 +261,7 @@ func TestProjectedCutInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 10; trial++ {
 		h := randomHG(rng, 60, 90, 5)
-		match := ipmMatch(h, rng, 500, true, newWorkspace(), newParctx(1))
+		match := ipmMatch(h, rng, 500, true, newWorkspace())
 		coarse, cmap := Contract(h, match)
 		k := 2 + rng.Intn(3)
 		cp := make([]int32, coarse.NumVertices())
@@ -334,7 +334,7 @@ func TestRefineKwayNeverWorsens(t *testing.T) {
 		}
 		before := partition.CutSize(h, partition.Partition{Parts: append([]int32(nil), parts...), K: k})
 		caps := capsFor(h, k, 0.3)
-		refineKway(h, k, parts, caps, 4, newWorkspace(), newParctx(1))
+		refineKway(h, k, parts, caps, 4, newWorkspace())
 		after := partition.CutSize(h, partition.Partition{Parts: parts, K: k})
 		if after > before {
 			t.Fatalf("trial %d: k-way refinement worsened cut %d -> %d", trial, before, after)
@@ -486,7 +486,7 @@ func TestKwayFMPolish(t *testing.T) {
 	}
 	before := partition.CutSize(h, partition.Partition{Parts: append([]int32(nil), parts...), K: k})
 	caps := capsFor(h, k, 0.4)
-	refineKwayFM(h, k, parts, caps, 4, newWorkspace(), newParctx(1))
+	refineKwayFM(h, k, parts, caps, 4, newWorkspace())
 	after := partition.CutSize(h, partition.Partition{Parts: parts, K: k})
 	if after > before {
 		t.Fatalf("k-way FM worsened cut %d -> %d", before, after)
@@ -520,7 +520,7 @@ func TestKwayFMRespectsFixed(t *testing.T) {
 		}
 	}
 	caps := capsFor(hf, 3, 0.5)
-	refineKwayFM(hf, 3, parts, caps, 3, newWorkspace(), newParctx(1))
+	refineKwayFM(hf, 3, parts, caps, 3, newWorkspace())
 	for v := 0; v < 20; v++ {
 		if parts[v] != fixed[v] {
 			t.Fatalf("FM moved fixed vertex %d", v)

@@ -6,110 +6,46 @@ import (
 	"hyperbal/internal/hypergraph"
 )
 
-// ipmMatch computes an inner-product matching of h, honoring the
-// fixed-vertex compatibility filter of Section 4.1: two vertices fixed to
-// different parts never match. The returned match vector has
-// match[v] == u (and match[u] == v) for matched pairs and match[v] == v
-// for singletons. It aliases workspace storage and is valid until the next
-// ipmMatch call on the same workspace.
-//
-// The kernel runs synchronous propose–resolve rounds (the Mt-KaHyPar /
-// PMondriaan structure): in the propose phase every still-unmatched vertex
-// scores its unmatched neighbors against the round-start snapshot and
-// picks the best partner — shards of the index range run in parallel on
-// px — and the serial resolve phase then grants proposals in vertex-index
-// order, so a vertex whose partner was claimed earlier in the scan loses
-// the round (a conflict) and re-proposes in the next. Proposals are pure
-// functions of the snapshot and tie-breaks are keyed on (seed, round,
-// vertex indices), never on execution order, so the matching is
-// bit-identical for every Parallelism value. A vertex with no unmatched
-// compatible neighbor retires as a singleton — the unmatched set only
-// shrinks, so no later round could do better.
+// ipmMatch computes a greedy first-choice inner-product matching of h,
+// honoring the fixed-vertex compatibility filter of Section 4.1: two
+// vertices fixed to different parts never match. The returned match vector
+// has match[v] == u (and match[u] == v) for matched pairs and
+// match[v] == v for singletons. It aliases workspace storage and is valid
+// until the next ipmMatch call on the same workspace.
 //
 // The similarity (inner product / heavy connectivity) between u and v is
 // sum over shared nets n of cost(n)/(|n|-1); nets larger than maxNetSize
 // are skipped for speed.
-func ipmMatch(h *hypergraph.Hypergraph, rng *rand.Rand, maxNetSize int, filterFixed bool, ws *workspace, px *parctx) []int32 {
+func ipmMatch(h *hypergraph.Hypergraph, rng *rand.Rand, maxNetSize int, filterFixed bool, ws *workspace) []int32 {
 	n := h.NumVertices()
 	ws.match = growI32(ws.match, n)
 	match := ws.match
 	for v := range match {
 		match[v] = -1
 	}
-	ws.proposal = growI32(ws.proposal, n)
-	proposal := ws.proposal
-
-	// One draw keeps the caller's stream deterministic; every per-vertex
-	// "random" decision derives from it by index-keyed hashing.
-	base := uint64(rng.Int63())
-	shards := kernelShards(n)
-
-	unmatched := n
-	rounds, conflicts := 0, 0
-	for unmatched > 0 {
-		rounds++
-		px.forEach(shards, ws, func(i int, wws *workspace) {
-			lo, hi := shardRange(n, shards, i)
-			proposeRange(h, match, proposal, lo, hi, maxNetSize, filterFixed, base, rounds, wws)
-		})
-		// Resolve in index order: first proposer wins its partner.
-		matched := 0
-		for u := 0; u < n; u++ {
-			if match[u] != -1 {
-				continue
-			}
-			p := proposal[u]
-			if p < 0 {
-				// No unmatched compatible neighbor; matches never unmake,
-				// so this cannot improve later — retire as a singleton.
-				match[u] = int32(u)
-				unmatched--
-				continue
-			}
-			if match[p] != -1 {
-				conflicts++ // partner claimed earlier this scan; retry next round
-				continue
-			}
-			match[u] = p
-			match[p] = int32(u)
-			matched++
-			unmatched -= 2
-		}
-		if matched == 0 && unmatched > 0 {
-			// Defensive: cannot happen (a zero-match round retires every
-			// remaining vertex), but never loop forever on a logic bug.
-			for u := 0; u < n; u++ {
-				if match[u] == -1 {
-					match[u] = int32(u)
-				}
-			}
-			unmatched = 0
-		}
+	// Fisher–Yates fill, identical to rand.Perm but into a reused buffer.
+	ws.perm = growI32(ws.perm, n)
+	order := ws.perm
+	for i := 0; i < n; i++ {
+		j := rng.Intn(i + 1)
+		order[i] = order[j]
+		order[j] = int32(i)
 	}
-	obsKernelRounds.Add(int64(rounds))
-	obsKernelConflicts.Add(int64(conflicts))
-	return match
-}
 
-// proposeRange fills proposal[lo:hi] for the unmatched vertices of the
-// shard: each picks its best-scoring unmatched neighbor (-1 if none).
-// It reads only the round-start match snapshot and writes only its own
-// index range, so shards are independent. Ties are broken by an
-// index-seeded hash so the choice is pseudo-random but identical at every
-// thread count.
-func proposeRange(h *hypergraph.Hypergraph, match, proposal []int32, lo, hi, maxNetSize int, filterFixed bool, base uint64, round int, ws *workspace) {
-	n := h.NumVertices()
-	// Score scratch keeps the all-zero invariant: the selection loop
-	// restores every touched entry, so only fresh allocations need zeroing.
-	ws.score = growF64Zero(ws.score, n)
+	// score accumulation scratch: candidate -> accumulated score. The
+	// selection loop restores every touched entry to zero, so the all-zero
+	// invariant holds across calls.
+	ws.score = growF64(ws.score, n)
 	score := ws.score
 	touched := ws.touched[:0]
 
-	for u := lo; u < hi; u++ {
+	for _, uu := range order {
+		u := int(uu)
 		if match[u] != -1 {
 			continue
 		}
 		fu := h.Fixed(u)
+		// Accumulate inner products with unmatched neighbors.
 		touched = touched[:0]
 		for _, netID := range h.Nets(u) {
 			pins := h.Pins(int(netID))
@@ -133,25 +69,33 @@ func proposeRange(h *hypergraph.Hypergraph, match, proposal []int32, lo, hi, max
 		}
 		// Pick the best feasible candidate. Infeasible scores are computed
 		// anyway (as in Zoltan) but filtered at selection time.
-		best := int32(-1)
+		best := -1
 		bestScore := 0.0
-		var bestKey uint64
 		for _, w := range touched {
 			v := int(w)
 			s := score[v]
 			score[v] = 0
+			if s <= bestScore {
+				// ties broken toward the earlier-seen candidate; strict
+				// inequality keeps determinism under the random visit order
+				continue
+			}
 			if filterFixed {
 				fv := h.Fixed(v)
 				if fu != hypergraph.Free && fv != hypergraph.Free && fu != fv {
 					continue // match filter: incompatible fixed parts
 				}
 			}
-			key := mix64(base ^ uint64(round)*0x9E3779B97F4A7C15 ^ uint64(u)*0xBF58476D1CE4E5B9 ^ uint64(v))
-			if best < 0 || s > bestScore || (s == bestScore && key < bestKey) {
-				best, bestScore, bestKey = w, s, key
-			}
+			best = v
+			bestScore = s
 		}
-		proposal[u] = best
+		if best >= 0 {
+			match[u] = int32(best)
+			match[best] = int32(u)
+		} else {
+			match[u] = int32(u)
+		}
 	}
 	ws.touched = touched
+	return match
 }

@@ -34,17 +34,6 @@ var (
 	// Cut of the last completed Partition call, after refinement.
 	obsFinalCut = obs.Default().Gauge("hgp_final_cut")
 
-	// Intra-level kernel parallelism: synchronous propose/resolve (or
-	// propose/apply) rounds executed by the matching and refinement
-	// kernels, proposals that lost their round to an index-earlier winner,
-	// work items that actually ran on a spawned worker goroutine (stays 0
-	// under the rank-local SPMD pin), and the spilled-item share of the
-	// last Partition/PartitionWarm call in permille.
-	obsKernelRounds      = obs.Default().Counter("hgp_kernel_rounds_total")
-	obsKernelConflicts   = obs.Default().Counter("hgp_kernel_conflicts_total")
-	obsKernelWorkerItems = obs.Default().Counter("hgp_kernel_worker_items_total")
-	obsKernelEfficiency  = obs.Default().Gauge("hgp_kernel_parallel_efficiency_permille")
-
 	// Warm-start path: calls by mode (localized / vcycle / trivial), the
 	// dirty fraction of each call in permille, and the wall time of the
 	// whole warm partition (the cold analogue is the sum of the stage

@@ -52,14 +52,9 @@ type Options struct {
 	// fixed vertices exist and the filter is off at coarse-solution time,
 	// so fixed assignment is still enforced there).
 	DisableMatchFilter bool
-	// Parallelism bounds the worker goroutines of one Partition,
-	// PartitionWithVCycles, or PartitionWarm call. One token pool serves
-	// every layer: recursive-bisection sides, coarse multi-starts, and the
-	// intra-level kernel shards (matching proposals, contraction
-	// translation, refinement gain rounds, warm balance-repair scans), so
-	// the call never runs more than Parallelism goroutines no matter how
-	// the layers nest. Results are bit-identical for every value; 1 forces
-	// fully serial execution.
+	// Parallelism bounds the worker goroutines of one Partition call
+	// (recursive-bisection sides and coarse multi-starts). Results are
+	// bit-identical for every value; 1 forces fully serial execution.
 	//
 	// Two regimes resolve the default for <= 0:
 	//   - Top-level calls (this package's exported entry points):
@@ -68,12 +63,9 @@ type Options struct {
 	//   - Rank-local calls inside an SPMD coarse solve (internal/phg):
 	//     the driver pins unset Parallelism to 1 before calling down,
 	//     because its ranks already occupy the machine — a GOMAXPROCS
-	//     default per rank would oversubscribe it multiplicatively. The
-	//     pin covers kernel shard workers too (they draw from the same
-	//     pool); phg's hgp_coarse_solve_serialized_total counts the pins
-	//     and hgp_kernel_worker_items_total staying flat proves no kernel
-	//     worker escapes one. An explicit Parallelism > 1 is honored in
-	//     both regimes.
+	//     default per rank would oversubscribe it multiplicatively.
+	//     phg's phg_coarse_solve_serialized_total counts the pins. An
+	//     explicit Parallelism > 1 is honored in both regimes.
 	Parallelism int
 }
 

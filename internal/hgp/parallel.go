@@ -1,20 +1,10 @@
 package hgp
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // parctx is the per-Partition parallel execution context: a token pool
 // bounding the extra worker goroutines of one call, with workspaces
 // recycled through wsPool. A nil-sem parctx executes everything inline.
-//
-// One pool serves every layer of the call: recursive-bisection sides and
-// multi-starts (coarse-grained items via fork/forEach) and the intra-level
-// kernel shards (fine-grained items via the same forEach), so the
-// RB-level and kernel-level parallelism share the Options.Parallelism
-// budget and can never oversubscribe it — a kernel round nested inside a
-// busy multi-start simply runs inline on its caller.
 //
 // Determinism: the inline path is also the reference schedule. Every work
 // item handed to fork or forEach derives its random stream from its index
@@ -23,14 +13,6 @@ import (
 // every Parallelism value, 1 included, produces bit-identical partitions.
 type parctx struct {
 	sem chan struct{} // capacity = Parallelism-1 extra workers; nil = serial
-
-	// Parallel-efficiency accounting: items scheduled through fork and
-	// forEach, and the subset that actually ran on a spawned worker.
-	// Reported as a permille gauge at the end of each Partition call and
-	// as the hgp_kernel_worker_items_total counter (the rank-local
-	// oversubscription pin asserts this stays zero at Parallelism=1).
-	items  atomic.Int64
-	spills atomic.Int64
 }
 
 func newParctx(parallelism int) *parctx {
@@ -44,27 +26,13 @@ func newParctx(parallelism int) *parctx {
 func (px *parctx) getWS() *workspace   { return wsPool.Get().(*workspace) }
 func (px *parctx) putWS(ws *workspace) { wsPool.Put(ws) }
 
-// efficiencyPermille reports the share of scheduled work items that ran on
-// spawned workers, in permille: 0 for a fully serial call, approaching
-// (Parallelism-1)/Parallelism*1000 when the pool keeps every worker busy.
-func (px *parctx) efficiencyPermille() int64 {
-	t := px.items.Load()
-	if t == 0 {
-		return 0
-	}
-	return px.spills.Load() * 1000 / t
-}
-
 // fork runs fn, in a fresh goroutine when a worker token is free and
 // inline otherwise, and returns a join function the caller must invoke
 // before touching data fn writes. fn receives a workspace of its own.
 func (px *parctx) fork(fn func(ws *workspace)) (join func()) {
-	px.items.Add(1)
 	if px.sem != nil {
 		select {
 		case px.sem <- struct{}{}:
-			px.spills.Add(1)
-			obsKernelWorkerItems.Inc()
 			done := make(chan struct{})
 			go func() {
 				defer close(done)
@@ -87,7 +55,6 @@ func (px *parctx) fork(fn func(ws *workspace)) (join func()) {
 // tokens are free and running the rest inline on the caller's workspace.
 // It returns only after every item completed.
 func (px *parctx) forEach(n int, ws *workspace, fn func(i int, ws *workspace)) {
-	px.items.Add(int64(n))
 	if px.sem == nil || n <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i, ws)
@@ -95,11 +62,9 @@ func (px *parctx) forEach(n int, ws *workspace, fn func(i int, ws *workspace)) {
 		return
 	}
 	var wg sync.WaitGroup
-	spilled := 0
 	for i := 0; i < n; i++ {
 		select {
 		case px.sem <- struct{}{}:
-			spilled++
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
@@ -112,34 +77,7 @@ func (px *parctx) forEach(n int, ws *workspace, fn func(i int, ws *workspace)) {
 			fn(i, ws)
 		}
 	}
-	if spilled > 0 {
-		px.spills.Add(int64(spilled))
-		obsKernelWorkerItems.Add(int64(spilled))
-	}
 	wg.Wait()
-}
-
-// kernelShards returns the shard count for an n-item kernel round. It is a
-// pure function of the problem size — never of Parallelism or GOMAXPROCS —
-// so the round structure, and therefore the result, is identical at every
-// thread count; only the assignment of shards to goroutines varies. Shards
-// hold at least minKernelShard items to amortize scheduling overhead.
-func kernelShards(n int) int {
-	const minKernelShard = 64
-	if n < 2*minKernelShard {
-		return 1
-	}
-	s := n / minKernelShard
-	if s > 32 {
-		s = 32
-	}
-	return s
-}
-
-// shardRange returns the half-open index range [lo, hi) of shard i of n
-// items split into the given shard count.
-func shardRange(n, shards, i int) (lo, hi int) {
-	return i * n / shards, (i + 1) * n / shards
 }
 
 // startSeed derives the RNG seed of multi-start attempt s from the base
@@ -147,16 +85,4 @@ func shardRange(n, shards, i int) (lo, hi int) {
 // multiplier, so distinct starts get well-separated streams.
 func startSeed(base int64, s int) int64 {
 	return base + int64(s+1)*0x5851F42D4C957F2D
-}
-
-// mix64 is the splitmix64 finalizer: an index-seeded stand-in for a
-// per-vertex RNG draw. Kernels key it on (seed, round, vertex indices) to
-// break score ties pseudo-randomly without any execution-order dependence.
-func mix64(x uint64) uint64 {
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	x *= 0xc4ceb9fe1a85ec53
-	x ^= x >> 33
-	return x
 }

@@ -3,6 +3,7 @@ package hgp
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hyperbal/internal/hypergraph"
@@ -65,32 +66,31 @@ func TestPartitionParallelismDeterminism(t *testing.T) {
 	}
 }
 
-// TestKernelWorkersRespectSerialPin asserts the PR 3 rank-local regime
-// extends to the intra-level kernel shards: at Parallelism=1 (the pin the
-// SPMD coarse solve applies per rank) no work item — RB side, multi-start,
-// or kernel shard — may run on a spawned worker, which the
-// hgp_kernel_worker_items_total counter records.
-func TestKernelWorkersRespectSerialPin(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	h := quickHG(rng)
+// TestParallelismOneRunsInline pins the rank-local regime the SPMD coarse
+// solve relies on (internal/phg pins Parallelism to 1 per rank): at
+// Parallelism=1 nothing runs on a spawned worker — forEach runs every item
+// in index order on the caller's workspace, and fork has run fn by the time
+// it returns.
+func TestParallelismOneRunsInline(t *testing.T) {
+	px := newParctx(1)
+	ws := newWorkspace()
+	var order []int
+	px.forEach(5, ws, func(i int, got *workspace) {
+		if got != ws {
+			t.Errorf("forEach item %d ran on another workspace, want the caller's", i)
+		}
+		order = append(order, i)
+	})
+	if want := []int{0, 1, 2, 3, 4}; !slices.Equal(order, want) {
+		t.Fatalf("forEach ran items in order %v, want %v", order, want)
+	}
 
-	before := obsKernelWorkerItems.Load()
-	if _, err := Partition(h, Options{K: 4, Imbalance: 0.10, Seed: 3, Parallelism: 1}); err != nil {
-		t.Fatal(err)
+	ran := false
+	join := px.fork(func(*workspace) { ran = true })
+	if !ran {
+		t.Fatal("fork returned before running fn")
 	}
-	if d := obsKernelWorkerItems.Load() - before; d != 0 {
-		t.Fatalf("Parallelism=1 spawned %d kernel worker items, want 0", d)
-	}
-
-	// Sanity check the counter is live: an unpinned run must spill at
-	// least one item onto the pool.
-	before = obsKernelWorkerItems.Load()
-	if _, err := Partition(h, Options{K: 4, Imbalance: 0.10, Seed: 3, Parallelism: 4}); err != nil {
-		t.Fatal(err)
-	}
-	if obsKernelWorkerItems.Load() == before {
-		t.Fatal("Parallelism=4 spawned no kernel worker items; spill accounting is dead")
-	}
+	join()
 }
 
 // TestPartitionWithVCyclesParallelismDeterminism covers the V-cycle driver,

@@ -125,52 +125,53 @@ func (s *KwayState) AdjacentParts(v int, buf []int32, mark []bool) []int32 {
 	return buf
 }
 
-// refineKway performs greedy k-way refinement as synchronous
-// propose–apply rounds. The propose phase computes, for every free vertex
-// in parallel over index shards, the best positive-gain balanced
-// destination against the round-start snapshot (plus the zero-gain escape
-// for over-cap source parts). The serial apply phase then walks vertices
-// in index order with attributed gains: each proposal's gain is recomputed
-// against the *current* state and applied only if it still strictly
-// improves the cut (or rebalances an over-cap part without worsening it),
-// with balance caps enforced at apply time. Proposals are pure functions
-// of the snapshot and the apply order is fixed, so the result is
-// bit-identical for every Parallelism value. Fixed vertices never move.
-// Returns the final cut.
-func refineKway(h *hypergraph.Hypergraph, k int, parts []int32, caps []int64, passes int, ws *workspace, px *parctx) int64 {
-	n := h.NumVertices()
+// refineKway performs greedy k-way refinement passes: each pass visits all
+// vertices and applies the best positive-gain balanced move. Fixed vertices
+// never move. Returns the final cut.
+func refineKway(h *hypergraph.Hypergraph, k int, parts []int32, caps []int64, passes int, ws *workspace) int64 {
 	s := ws.kwayState(h, k, parts)
 	defer s.release()
-	ws.kto = growI32(ws.kto, n)
-	kto := ws.kto
-	shards := kernelShards(n)
-	rounds, conflicts := 0, 0
+	ws.kbuf = growI32(ws.kbuf, k)
+	ws.kmark = growBool(ws.kmark, k)
+	buf := ws.kbuf[:0]
+	mark := ws.kmark
 	for pass := 0; pass < passes; pass++ {
-		rounds++
-		px.forEach(shards, ws, func(i int, wws *workspace) {
-			lo, hi := shardRange(n, shards, i)
-			proposeMovesRange(s, caps, kto, lo, hi, wws)
-		})
 		moves := 0
-		for v := 0; v < n; v++ {
-			to := kto[v]
-			if to < 0 {
+		for v := 0; v < h.NumVertices(); v++ {
+			if h.Fixed(v) != hypergraph.Free {
 				continue
 			}
+			cands := s.AdjacentParts(v, buf, mark)
+			var bestTo int32 = -1
+			var bestGain int64
 			from := s.parts[v]
-			applied := false
-			if to != from && s.w[to]+h.Weight(v) <= caps[to] {
-				// Attributed gain: the snapshot only nominated the
-				// destination; the gain that counts is the one at apply time.
+			for _, to := range cands {
+				if s.w[to]+h.Weight(v) > caps[to] {
+					continue
+				}
 				g := s.MoveGain(v, to)
-				if g > 0 || (g >= 0 && s.w[from] > caps[from]) {
-					s.Move(v, to)
-					moves++
-					applied = true
+				if g > bestGain || (g == bestGain && g > 0 && bestTo == -1) {
+					bestGain = g
+					bestTo = to
 				}
 			}
-			if !applied {
-				conflicts++ // earlier applies invalidated this proposal
+			// also allow zero-gain moves that reduce imbalance of an
+			// over-cap source part
+			if bestTo == -1 && s.w[from] > caps[from] {
+				for _, to := range cands {
+					if s.w[to]+h.Weight(v) <= caps[to] && s.MoveGain(v, to) >= 0 {
+						bestTo = to
+						bestGain = 0
+						break
+					}
+				}
+			}
+			if bestTo >= 0 && bestGain > 0 {
+				s.Move(v, bestTo)
+				moves++
+			} else if bestTo >= 0 && s.w[from] > caps[from] {
+				s.Move(v, bestTo)
+				moves++
 			}
 		}
 		obsKwayPasses.Inc()
@@ -179,53 +180,7 @@ func refineKway(h *hypergraph.Hypergraph, k int, parts []int32, caps []int64, pa
 			break
 		}
 	}
-	obsKernelRounds.Add(int64(rounds))
-	obsKernelConflicts.Add(int64(conflicts))
 	return s.Cut()
-}
-
-// proposeMovesRange fills kto[lo:hi] with the proposed destination of each
-// vertex of the shard (-1 when the snapshot admits no move): the
-// best-positive-gain destination under the caps, else — for vertices on an
-// over-cap source part — the first non-worsening feasible destination. It
-// only reads the refinement state and writes its own kto range, so shards
-// run concurrently; scratch comes from the shard's workspace.
-func proposeMovesRange(s *KwayState, caps []int64, kto []int32, lo, hi int, ws *workspace) {
-	h := s.h
-	ws.kbuf = growI32(ws.kbuf, s.k)
-	ws.kmark = growBool(ws.kmark, s.k)
-	buf, mark := ws.kbuf[:0], ws.kmark
-	for v := lo; v < hi; v++ {
-		kto[v] = -1
-		if h.Fixed(v) != hypergraph.Free {
-			continue
-		}
-		cands := s.AdjacentParts(v, buf, mark)
-		from := s.parts[v]
-		wv := h.Weight(v)
-		var bestTo int32 = -1
-		var bestGain int64
-		for _, to := range cands {
-			if s.w[to]+wv > caps[to] {
-				continue
-			}
-			if g := s.MoveGain(v, to); g > bestGain {
-				bestGain = g
-				bestTo = to
-			}
-		}
-		// also allow zero-gain moves that reduce imbalance of an over-cap
-		// source part
-		if bestTo == -1 && s.w[from] > caps[from] {
-			for _, to := range cands {
-				if s.w[to]+wv <= caps[to] && s.MoveGain(v, to) >= 0 {
-					bestTo = to
-					break
-				}
-			}
-		}
-		kto[v] = bestTo
-	}
 }
 
 // PartWeight returns the current total vertex weight of part p.

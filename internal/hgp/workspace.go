@@ -15,11 +15,10 @@ import (
 // goroutine at a time; wsPool recycles them across Partition calls.
 type workspace struct {
 	// ipmMatch
-	perm     []int32
-	score    []float64
-	touched  []int32
-	match    []int32
-	proposal []int32 // propose-resolve rounds: best partner per vertex
+	perm    []int32
+	score   []float64
+	touched []int32
+	match   []int32
 
 	// contract
 	cmark  []bool  // per-coarse-vertex dedup marks (always restored to false)
@@ -40,8 +39,6 @@ type workspace struct {
 	kbuf    []int32
 	kmark   []bool
 	klocked []bool
-	kto     []int32 // parallel gain rounds: proposed destination per vertex
-	kgain   []int64 // parallel gain rounds: snapshot gain per vertex
 
 	// recursive bisection
 	fixedSide []int32
@@ -80,17 +77,6 @@ func growF64(s []float64, n int) []float64 {
 	s = s[:n]
 	clear(s)
 	return s
-}
-
-// growF64Zero returns s resized to n, zeroing only fresh allocations. It
-// relies on the caller maintaining the restore-to-zero invariant (every
-// touched entry is reset before the call returns), which makes repeated
-// per-round use O(touched) instead of O(n).
-func growF64Zero(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
 }
 
 // growBool returns s resized to n with every entry false.
