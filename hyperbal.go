@@ -29,7 +29,6 @@ import (
 	"hyperbal/internal/appsim"
 	"hyperbal/internal/core"
 	"hyperbal/internal/datasets"
-	"hyperbal/internal/dhg"
 	"hyperbal/internal/dynamics"
 	"hyperbal/internal/gp"
 	"hyperbal/internal/graph"
@@ -383,30 +382,6 @@ func MatrixToHypergraph(m *MTXMatrix) (*Hypergraph, error) { return mtx.ToHyperg
 // MatrixToGraph builds the symmetrized graph model of a square sparse
 // matrix.
 func MatrixToGraph(m *MTXMatrix) (*Graph, error) { return mtx.ToGraph(m) }
-
-// ---- Distributed hypergraphs (Zoltan-style data layouts) ----
-
-// DistHypergraph is a 1D-distributed hypergraph share (block vertices,
-// owner-held nets).
-type DistHypergraph = dhg.DH
-
-// DistHypergraph2D is a 2D processor-grid share (Zoltan's §4.1 layout).
-type DistHypergraph2D = dhg.DH2D
-
-// DistStats are globally reduced hypergraph statistics.
-type DistStats = dhg.GlobalStats
-
-// DistributeHypergraph scatters a root-held hypergraph over the
-// communicator in the 1D layout.
-func DistributeHypergraph(c *Comm, root int, h *Hypergraph) (*DistHypergraph, error) {
-	return dhg.Distribute(c, root, h)
-}
-
-// DistributeHypergraph2D scatters a root-held hypergraph over a px × py
-// processor grid.
-func DistributeHypergraph2D(c *Comm, root int, h *Hypergraph, px, py int) (*DistHypergraph2D, error) {
-	return dhg.Distribute2D(c, root, h, px, py)
-}
 
 // PartitionHypergraphVCycles is PartitionHypergraph followed by the given
 // number of refinement V-cycles (never worsens the cut).

@@ -43,10 +43,10 @@ type Options struct {
 	// operation. It is called concurrently from rank goroutines and must
 	// be safe for concurrent use.
 	OnEvent func(Event)
-	// ChanCap is the per-pair send buffer capacity in messages; 0 means
-	// DefaultChanCap. A send beyond this capacity blocks the sender (and
-	// counts in Stats.BlockedSends). Network transports mirror it as their
-	// flow-control window.
+	// ChanCap is the per-pair channel capacity of an in-process world in
+	// messages; 0 means DefaultChanCap. A send beyond this capacity blocks
+	// the sender (and counts in Stats.BlockedSends). A network transport
+	// sets its own flow-control window (mpinet's Options.SendWindow).
 	ChanCap int
 }
 
@@ -147,14 +147,13 @@ func (e *DeadlockError) Error() string {
 	return b.String()
 }
 
-// errAborted marks ranks that were cut loose by the watchdog; it is
-// translated into the world-level DeadlockError by RunWith.
+// errAborted is the channel transport's error for ranks cut loose by the
+// watchdog; RunWith reports the world-level DeadlockError instead.
 var errAborted = errors.New("mpi: rank aborted after watchdog deadline")
 
-// crashSignal and abortSignal unwind a rank goroutine via panic; the
-// runner's recover translates them into errors.
+// crashSignal unwinds a rank goroutine via panic at an injected crash; the
+// runner's recover translates it into a *CrashError.
 type crashSignal struct{ rank, step int }
-type abortSignal struct{}
 
 // rankState is the watchdog's view of one rank.
 type rankState struct {
@@ -167,13 +166,18 @@ type rankState struct {
 	since   time.Time
 }
 
-// world is the shared state of one Run invocation: traffic counters, the
-// fault plan, watchdog bookkeeping, and the abort broadcast channel.
+// world is the shared state of one Run invocation (or of one rank's share
+// of a distributed world): traffic counters, the fault plan, watchdog
+// bookkeeping, and the abort broadcast channel.
 type world struct {
 	n     int
 	stats *Stats
 	opt   Options
-	track bool // record blocked states and stalls (watchdog or OnEvent on)
+	track bool // record blocked states (watchdog or OnEvent on)
+	// remote marks a RunTransportRank world: its rank runs inside a
+	// long-lived worker process, so a tag mismatch is returned as the
+	// rank's error instead of panicking.
+	remote bool
 
 	abort     chan struct{}
 	abortOnce sync.Once
@@ -226,17 +230,13 @@ func newWorld(n int, opt Options) *world {
 func (w *world) reorder() bool { return w.opt.Fault != nil && w.opt.Fault.Reorder }
 
 // enterBlocked flags rank as blocked inside op; the returned func clears
-// the flag, bumps the progress counter and reports the stall. Stall time
-// feeds Stats.MaxStall unconditionally — only the watchdog's blocked-state
-// bookkeeping is skipped for untracked worlds.
+// the flag, bumps the progress counter and reports the stall (which the
+// Comm layer feeds into Stats.MaxStall, tracked or not). Untracked worlds
+// skip the watchdog's blocked-state bookkeeping.
 func (w *world) enterBlocked(rank int, op string, peer, tag int) func() time.Duration {
 	start := time.Now()
 	if !w.track {
-		return func() time.Duration {
-			stall := time.Since(start)
-			w.noteStall(stall)
-			return stall
-		}
+		return func() time.Duration { return time.Since(start) }
 	}
 	s := &w.states[rank]
 	s.mu.Lock()
@@ -247,9 +247,7 @@ func (w *world) enterBlocked(rank int, op string, peer, tag int) func() time.Dur
 		s.blocked = false
 		s.mu.Unlock()
 		w.progress.Add(1)
-		stall := time.Since(start)
-		w.noteStall(stall)
-		return stall
+		return time.Since(start)
 	}
 }
 

@@ -1,18 +1,24 @@
-// Package mpi is an in-process message-passing substrate standing in for
-// MPI (the paper's code "is written in C and uses MPI for communication";
-// Go has no mature MPI binding, so the SPMD algorithms in this repository
-// run on this substrate instead). Ranks are goroutines; a Comm carries
-// point-to-point typed messages and the usual collective operations.
+// Package mpi is a message-passing substrate standing in for MPI (the
+// paper's code "is written in C and uses MPI for communication"; Go has no
+// mature MPI binding, so the SPMD algorithms in this repository run on
+// this substrate instead). A Comm carries point-to-point typed messages
+// and the usual collective operations over a Transport. In-process worlds
+// (Run, RunWith) run ranks as goroutines over a channel transport;
+// distributed worlds (RunTransportRank, driven by internal/mpinet) run one
+// rank per process over TCP. Everything above the Transport — matching,
+// accounting, collectives, Split, tracing — is one code path for both.
 //
 // Semantics follow MPI where it matters for the algorithms:
 //
-//   - Send is buffered and non-blocking up to the channel capacity;
-//     messages between a pair of ranks are delivered in order.
+//   - Send is buffered and non-blocking up to the per-pair capacity
+//     (Options.ChanCap); messages between a pair of ranks are delivered in
+//     order.
 //   - Recv(src, tag) blocks for the next message from src and verifies the
 //     tag, panicking on protocol mismatches (a deliberate fail-fast stance:
-//     a tag mismatch is a bug in the algorithm, not a runtime condition).
-//     Under reorder injection (FaultPlan.Reorder) matching switches to
-//     MPI-style per-tag matching instead.
+//     a tag mismatch is a bug in the algorithm, not a runtime condition; a
+//     rank of a distributed world returns it as its error instead, so one
+//     bad job cannot take down a worker process). Under reorder injection
+//     (FaultPlan.Reorder) matching switches to MPI-style per-tag matching.
 //   - Ownership of slice payloads transfers with the message: the sender
 //     must not mutate a sent buffer (MPI_Send's "don't touch the buffer
 //     until complete" rule, made permanent).
@@ -49,10 +55,10 @@ type Stats struct {
 	// inside a single substrate operation. Recorded unconditionally, so
 	// plain Run/RunStats callers get honest stall numbers too.
 	MaxStall atomic.Int64
-	// BlockedSends counts sends that could not complete immediately —
-	// in-process: the destination channel was full (capacity Options.ChanCap);
-	// over a Transport: the flow-control window was exhausted. A nonzero
-	// count means receivers are falling behind the senders.
+	// BlockedSends counts sends that could not complete immediately: the
+	// transport's per-pair buffer (capacity Options.ChanCap in-process, the
+	// flow-control window over a network) was full. A nonzero count means
+	// receivers are falling behind the senders.
 	BlockedSends atomic.Int64
 }
 
@@ -69,14 +75,13 @@ type message struct {
 type Comm struct {
 	rank    int
 	size    int
-	chans   [][]chan message // chans[src][dst]
 	w       *world
 	worldOf []int // comm rank -> world rank (nil means identity)
 
-	// Transport-backed worlds (RunTransportRank) route point-to-point
-	// traffic through tr instead of chans; commID names this communicator
-	// on the wire (0 = world) and splitSeq numbers Split calls so derived
-	// communicator ids agree across ranks without a round trip.
+	// tr carries this rank's point-to-point traffic; commID names this
+	// communicator's streams on it (0 = world) and splitSeq numbers Split
+	// calls so derived communicator ids agree across ranks without a round
+	// trip.
 	tr       Transport
 	commID   uint64
 	splitSeq int
@@ -104,16 +109,15 @@ func (c *Comm) worldRank(r int) int {
 }
 
 // DefaultChanCap is the default per-pair send buffer capacity (messages),
-// used when Options.ChanCap is zero. A network transport should mirror the
-// effective value as its flow-control window so backpressure behaves the
-// same on both substrates.
+// used when Options.ChanCap is zero; mpinet uses it as the default
+// flow-control window.
 const DefaultChanCap = 1024
 
 // newComm wires a communicator of the given world. Each Comm instance
 // belongs to exactly one rank goroutine, so its reorder buffers need no
 // locking.
-func newComm(w *world, chans [][]chan message, rank, size int, worldOf []int) *Comm {
-	c := &Comm{rank: rank, size: size, chans: chans, w: w, worldOf: worldOf}
+func newComm(w *world, tr Transport, commID uint64, rank, size int, worldOf []int) *Comm {
+	c := &Comm{rank: rank, size: size, w: w, worldOf: worldOf, tr: tr, commID: commID}
 	if w.reorder() {
 		c.pending = make([][]message, size)
 		c.held = make([]*message, size)
@@ -144,43 +148,35 @@ func RunWith(n int, opt Options, fn func(c *Comm) error) (*Stats, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("mpi: world size must be >= 1, got %d", n)
 	}
-	opt = opt.normalized()
-	w := newWorld(n, opt)
-	chans := newChanMatrix(n, opt.ChanCap)
-	errs := make([]error, n)
+	w := newWorld(n, opt.normalized())
+	return w.run(0, n, newChanTransport(w).endpoint, fn)
+}
+
+// run executes fn as world ranks lo..hi-1, one goroutine per rank, and
+// returns the world's Stats and first error. Both substrates come through
+// here: RunWith runs every rank of the world over one channel transport,
+// RunTransportRank runs its single rank over a network transport.
+func (w *world) run(lo, hi int, tr func(rank int) Transport, fn func(c *Comm) error) (*Stats, error) {
+	errs := make([]error, hi-lo)
 	var wg sync.WaitGroup
-	for r := 0; r < n; r++ {
+	for rank := lo; rank < hi; rank++ {
 		wg.Add(1)
-		go func(rank int) {
+		go func() {
 			defer wg.Done()
-			defer func() {
-				w.finish(rank)
-				switch v := recover().(type) {
-				case nil:
-				case crashSignal:
-					errs[rank] = &CrashError{Rank: v.rank, Step: v.step}
-				case abortSignal:
-					errs[rank] = errAborted
-				default:
-					panic(v)
-				}
-			}()
-			c := newComm(w, chans, rank, n, nil)
-			errs[rank] = fn(c)
-			w.flushRank(rank)
-		}(r)
+			errs[rank-lo] = w.runRank(rank, tr(rank), fn)
+		}()
 	}
-	if opt.Watchdog > 0 {
+	if w.opt.Watchdog > 0 {
 		go w.watchdog()
 	}
 	wg.Wait()
 	close(w.stopc)
 	var first error
 	var crashes int64
-	for _, err := range errs {
+	for i, err := range errs {
 		var ce *CrashError
-		if errors.As(err, &ce) {
-			crashes++
+		if errors.As(err, &ce) && ce.Rank == lo+i {
+			crashes++ // this rank died, not a peer it lost
 		}
 		if err != nil && first == nil && !errors.Is(err, errAborted) {
 			first = err
@@ -196,18 +192,30 @@ func RunWith(n int, opt Options, fn func(c *Comm) error) (*Stats, error) {
 	return w.stats, first
 }
 
-func newChanMatrix(n, cap int) [][]chan message {
-	if cap <= 0 {
-		cap = DefaultChanCap
-	}
-	chans := make([][]chan message, n)
-	for i := range chans {
-		chans[i] = make([]chan message, n)
-		for j := range chans[i] {
-			chans[i][j] = make(chan message, cap)
+// runRank runs fn as one world rank and translates the signals that
+// unwind a rank (injected crash, transport failure, protocol error) into
+// its error.
+func (w *world) runRank(rank int, tr Transport, fn func(c *Comm) error) (err error) {
+	defer func() {
+		w.finish(rank)
+		switch v := recover().(type) {
+		case nil:
+		case crashSignal:
+			err = &CrashError{Rank: v.rank, Step: v.step}
+		case rankFailure:
+			err = v.err
+		case *tagError:
+			if !w.remote {
+				panic(v)
+			}
+			err = v
+		default:
+			panic(v)
 		}
-	}
-	return chans
+	}()
+	err = fn(newComm(w, tr, 0, rank, w.n, nil))
+	w.flushRank(rank)
+	return err
 }
 
 // Send delivers data to dst with the given tag. Ownership of slice
@@ -221,20 +229,7 @@ func (c *Comm) Send(dst, tag int, data any) {
 	nb := payloadBytes(data)
 	c.w.stats.Messages.Add(1)
 	c.w.stats.Bytes.Add(nb)
-	var stall time.Duration
-	if c.tr != nil {
-		var err error
-		stall, err = c.tr.Send(c.commID, c.worldRank(dst), tag, data)
-		if err != nil {
-			panic(transportFailure{err: fmt.Errorf("mpi: send to rank %d: %w", c.worldRank(dst), err)})
-		}
-		if stall > 0 {
-			c.w.stats.BlockedSends.Add(1)
-			c.w.noteStall(stall)
-		}
-	} else {
-		stall = c.deliver(dst, message{tag: tag, data: data})
-	}
+	stall := c.deliver(dst, message{tag: tag, data: data})
 	if hook := c.w.opt.OnEvent; hook != nil {
 		hook(Event{Rank: c.worldRank(c.rank), Op: "send", Peer: c.worldRank(dst), Tag: tag, Bytes: nb, Stall: stall})
 	}
@@ -247,39 +242,34 @@ func (c *Comm) Send(dst, tag int, data any) {
 // (src,dst,tag) stream is always preserved.
 func (c *Comm) deliver(dst int, m message) time.Duration {
 	if c.held == nil {
-		return c.push(dst, m)
+		return c.transmit(dst, m)
 	}
 	rng := c.w.frand[c.worldRank(c.rank)]
 	var stall time.Duration
 	if h := c.held[dst]; h != nil && (h.tag == m.tag || rng.Intn(2) == 0) {
 		c.held[dst] = nil
-		stall += c.push(dst, *h)
+		stall += c.transmit(dst, *h)
 	}
 	if c.held[dst] == nil && rng.Intn(2) == 0 {
 		held := m
 		c.held[dst] = &held
 		return stall
 	}
-	return stall + c.push(dst, m)
+	return stall + c.transmit(dst, m)
 }
 
-// push writes to the wire, abort-aware and stall-tracked.
-func (c *Comm) push(dst int, m message) time.Duration {
-	ch := c.chans[c.rank][dst]
-	select {
-	case ch <- m:
-		return 0
-	default:
+// transmit hands one message to the transport and accounts a blocked
+// send; a transport failure unwinds the rank.
+func (c *Comm) transmit(dst int, m message) time.Duration {
+	stall, err := c.tr.Send(c.commID, c.worldRank(dst), m.tag, m.data)
+	if err != nil {
+		panic(rankFailure{err: fmt.Errorf("mpi: send to rank %d: %w", c.worldRank(dst), err)})
 	}
-	c.w.stats.BlockedSends.Add(1)
-	end := c.w.enterBlocked(c.worldRank(c.rank), "send", c.worldRank(dst), m.tag)
-	select {
-	case ch <- m:
-		return end()
-	case <-c.w.abort:
-		end()
-		panic(abortSignal{})
+	if stall > 0 {
+		c.w.stats.BlockedSends.Add(1)
+		c.w.noteStall(stall)
 	}
+	return stall
 }
 
 // flushHeld delivers every held (reorder-injected) message. Called before
@@ -289,9 +279,18 @@ func (c *Comm) flushHeld() {
 	for dst, h := range c.held {
 		if h != nil {
 			c.held[dst] = nil
-			c.push(dst, *h)
+			c.transmit(dst, *h)
 		}
 	}
+}
+
+// tagError is a receive whose stream from src delivered a message with
+// another tag than the one awaited: a protocol bug in the algorithm.
+// Ranks are world ranks.
+type tagError struct{ rank, src, want, got int }
+
+func (e *tagError) Error() string {
+	return fmt.Sprintf("mpi: rank %d expected tag %d from rank %d, got tag %d", e.rank, e.want, e.src, e.got)
 }
 
 // Recv blocks for the next message from src and returns its payload,
@@ -303,19 +302,6 @@ func (c *Comm) Recv(src, tag int) any {
 		panic(fmt.Sprintf("mpi: recv from rank %d, world size %d", src, c.size))
 	}
 	c.faultStep()
-	if c.tr != nil {
-		data, stall, err := c.tr.Recv(c.commID, c.worldRank(src), tag)
-		if err != nil {
-			panic(transportFailure{err: fmt.Errorf("mpi: recv from rank %d: %w", c.worldRank(src), err)})
-		}
-		if stall > 0 {
-			c.w.noteStall(stall)
-		}
-		if hook := c.w.opt.OnEvent; hook != nil {
-			hook(Event{Rank: c.worldRank(c.rank), Op: "recv", Peer: c.worldRank(src), Tag: tag, Bytes: payloadBytes(data), Stall: stall})
-		}
-		return data
-	}
 	if c.held != nil {
 		c.w.flushRank(c.worldRank(c.rank))
 	}
@@ -338,7 +324,7 @@ func (c *Comm) fetch(src, tag int) (message, time.Duration) {
 		}
 		var stall time.Duration
 		for {
-			m, st := c.take(src, tag)
+			m, st := c.next(src, tag)
 			stall += st
 			if m.tag == tag {
 				return m, stall
@@ -346,29 +332,25 @@ func (c *Comm) fetch(src, tag int) (message, time.Duration) {
 			c.pending[src] = append(c.pending[src], m)
 		}
 	}
-	m, stall := c.take(src, tag)
+	m, stall := c.next(src, tag)
 	if m.tag != tag {
-		panic(fmt.Sprintf("mpi: rank %d expected tag %d from %d, got %d", c.rank, tag, src, m.tag))
+		panic(&tagError{c.worldRank(c.rank), c.worldRank(src), tag, m.tag})
 	}
 	return m, stall
 }
 
-// take reads the next raw message from src, abort-aware and stall-tracked.
-func (c *Comm) take(src, tag int) (message, time.Duration) {
-	ch := c.chans[src][c.rank]
-	select {
-	case m := <-ch:
-		return m, 0
-	default:
+// next reads the head of the stream from src; tag is the awaited tag,
+// passed down for blocked-op diagnostics only. A transport failure
+// unwinds the rank.
+func (c *Comm) next(src, tag int) (message, time.Duration) {
+	data, got, stall, err := c.tr.Recv(c.commID, c.worldRank(src), tag)
+	if err != nil {
+		panic(rankFailure{err: fmt.Errorf("mpi: recv from rank %d: %w", c.worldRank(src), err)})
 	}
-	end := c.w.enterBlocked(c.worldRank(c.rank), "recv", c.worldRank(src), tag)
-	select {
-	case m := <-ch:
-		return m, end()
-	case <-c.w.abort:
-		end()
-		panic(abortSignal{})
+	if stall > 0 {
+		c.w.noteStall(stall)
 	}
+	return message{tag: got, data: data}, stall
 }
 
 // payloadBytes approximates the wire size of a payload: fast paths for the
@@ -404,8 +386,8 @@ func payloadBytes(data any) int64 {
 
 // wireSize walks a value structurally: fixed-width kinds by width,
 // strings and slices by element, structs field by field. Reference kinds
-// (chan, func, map) count as one word; the substrate only ships those in
-// internal bootstrap payloads (Split's channel matrix).
+// (chan, func, map) count as one word; they cannot cross a network
+// transport, so the algorithms never ship them.
 func wireSize(v reflect.Value) int64 {
 	switch v.Kind() {
 	case reflect.Invalid:
@@ -486,7 +468,9 @@ func fixedWireSize(t reflect.Type) (int64, bool) {
 // color (ranks passing the same color share a new Comm; ranks are ordered
 // by key, ties by old rank). Every rank of c must call Split. A negative
 // color returns nil (the rank does not participate; mirrors
-// MPI_UNDEFINED).
+// MPI_UNDEFINED). The sub-communicator shares c's transport under a fresh
+// stream id that every member derives locally, so Split costs exactly one
+// AllgatherAny.
 func (c *Comm) Split(color, key int) *Comm {
 	defer c.collective("split")()
 	seq := c.splitSeq
@@ -516,25 +500,7 @@ func (c *Comm) Split(color, key int) *Comm {
 		}
 		worldOf[i] = c.worldRank(e.Rank)
 	}
-	sub := newComm(c.w, nil, newRank, len(members), worldOf)
-	if c.tr != nil {
-		// Over a transport the sub-communicator needs no new wiring, just a
-		// fresh stream id; every member derives the same one locally.
-		sub.tr = c.tr
-		sub.commID = deriveCommID(c.commID, seq, color)
-		return sub
-	}
-	// The split communicator gets fresh channels. Build them cooperatively:
-	// the lowest old rank of each color allocates and distributes.
-	if newRank == 0 {
-		sub.chans = newChanMatrix(len(members), c.w.opt.ChanCap)
-		for i := 1; i < len(members); i++ {
-			c.Send(members[i].Rank, tagSplit, sub.chans)
-		}
-	} else {
-		sub.chans = c.Recv(members[0].Rank, tagSplit).([][]chan message)
-	}
-	return sub
+	return newComm(c.w, c.tr, deriveCommID(c.commID, seq, color), newRank, len(members), worldOf)
 }
 
 // splitEntry is Split's allgather payload (package-level with exported
@@ -544,8 +510,7 @@ type splitEntry struct{ Color, Key, Rank int }
 // Internal collective tags (user tags are free-form; collisions avoided by
 // the strict matched-order discipline).
 const (
-	tagSplit = -1000 - iota
-	tagBarrier
+	tagBarrier = -1000 - iota
 	tagGather
 	tagBcast
 	tagAllgatherAny

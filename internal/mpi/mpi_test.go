@@ -265,6 +265,29 @@ func TestSplitUndefined(t *testing.T) {
 	})
 }
 
+// Split must cost exactly the AllgatherAny of its entries: the
+// sub-communicator's stream id is derived locally, so no other message
+// crosses the substrate (over a network transport or in-process alike).
+func TestSplitCostsOneAllgather(t *testing.T) {
+	allgather, err := RunStats(4, func(c *Comm) error {
+		AllgatherAny(c, splitEntry{c.Rank() % 2, c.Rank(), c.Rank()})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	split, err := RunStats(4, func(c *Comm) error {
+		c.Split(c.Rank()%2, c.Rank())
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gm, gb, sm, sb := allgather.Messages.Load(), allgather.Bytes.Load(), split.Messages.Load(), split.Bytes.Load(); sm != gm || sb != gb {
+		t.Fatalf("Split cost %d messages / %d bytes, one AllgatherAny costs %d / %d", sm, sb, gm, gb)
+	}
+}
+
 func TestStatsAccounted(t *testing.T) {
 	stats, err := RunStats(2, func(c *Comm) error {
 		if c.Rank() == 0 {

@@ -1,16 +1,17 @@
-// The transport seam: everything a real-network substrate must provide to
-// run the SPMD algorithms unchanged.
+// The transport seam: the only place the substrates differ.
 //
-// The in-process substrate (mpi.Run and friends) wires ranks with a
-// channel matrix inside one process. A Transport replaces exactly that
-// wiring — point-to-point delivery with per-(comm,src,dst,tag-stream)
-// ordering — while the Comm layer keeps everything else: rank/size
-// bookkeeping, traffic accounting via payloadBytes (so per-rank
-// message/byte counts are identical across substrates), collectives,
-// Split, and the OnEvent trace. internal/mpinet implements Transport over
-// TCP; tests can implement it over anything.
+// A Comm reaches its peers through exactly one Transport: point-to-point
+// delivery with per-(comm,src,dst) stream ordering. In-process worlds
+// (RunWith) use chanTransport, one buffered channel per stream;
+// internal/mpinet implements Transport over TCP for worlds whose ranks
+// live in separate processes (RunTransportRank). The Comm layer keeps
+// everything else on one path: rank/size bookkeeping, tag matching
+// (strict head-of-stream checks, or FaultPlan.Reorder's per-tag matching),
+// traffic accounting via payloadBytes (so per-rank message/byte counts are
+// identical across substrates), blocked-send and stall accounting,
+// collectives, Split, and the OnEvent trace.
 //
-// Payloads cross a Transport as typed values. The in-process path moves
+// Payloads cross a Transport as typed values. The channel transport moves
 // them as interface values and needs no declarations, but a real network
 // must reconstruct the concrete type on the far side, so transportable
 // types are declared once via RegisterPayload (scalars, their slices and
@@ -27,12 +28,16 @@ import (
 	"time"
 )
 
-// Transport delivers typed messages between the ranks of one world whose
-// rank processes live behind a network. Ranks passed here are world ranks
-// (the Comm layer translates split-communicator ranks). comm identifies
-// the communicator (0 is the world communicator; Split derives fresh ids
-// deterministically), so streams of different communicators between the
-// same pair never cross-match.
+// Transport delivers typed messages between the ranks of one world, as
+// seen from one rank. Ranks passed here are world ranks (the Comm layer
+// translates split-communicator ranks). comm identifies the communicator
+// (0 is the world communicator; Split derives fresh ids deterministically),
+// so streams of different communicators between the same pair never
+// cross-match.
+//
+// Recv returns the message at the head of the (comm, src) stream together
+// with its tag; matching is the Comm layer's job, and the awaited tag is
+// passed only so a blocked receive can be reported (BlockedOp).
 //
 // Both calls may block (flow control on Send, waiting for a message on
 // Recv) and report how long they blocked so the Comm layer can keep the
@@ -42,24 +47,26 @@ import (
 // detect crashed ranks structurally.
 type Transport interface {
 	Send(comm uint64, dst, tag int, data any) (stall time.Duration, err error)
-	Recv(comm uint64, src, tag int) (data any, stall time.Duration, err error)
+	Recv(comm uint64, src, tag int) (data any, gotTag int, stall time.Duration, err error)
 }
 
-// transportFailure unwinds a rank goroutine when its Transport fails; the
-// RunTransportRank recover translates it back into an error.
-type transportFailure struct{ err error }
+// rankFailure unwinds a rank goroutine when its Transport fails; the
+// per-rank runner translates it back into the rank's error.
+type rankFailure struct{ err error }
 
 // RunTransportRank runs fn as world rank `rank` of a size-`size` SPMD
 // world whose messaging flows through tr — the per-process entry point of
 // a distributed world (each rank process calls it once; a coordinator
 // such as mpinet.RunWorld arranges that). The returned Stats hold this
 // rank's traffic only; summing them across ranks reproduces the shared
-// Stats of an in-process world.
+// Stats of an in-process world. A tag mismatch comes back as the rank's
+// error rather than a panic.
 //
 // Fault injection is not supported here (Options.Fault must be nil): on a
 // real network, delays and reordering are supplied by the network itself
 // and crashes by real process death. Watchdog duties belong to the
-// transport (e.g. its receive deadline); Options.Watchdog is ignored.
+// transport (e.g. its receive deadline); Options.Watchdog is ignored, and
+// so is Options.ChanCap (the transport owns its flow control).
 func RunTransportRank(tr Transport, rank, size int, opt Options, fn func(c *Comm) error) (*Stats, error) {
 	if size < 1 {
 		return nil, fmt.Errorf("mpi: world size must be >= 1, got %d", size)
@@ -71,26 +78,97 @@ func RunTransportRank(tr Transport, rank, size int, opt Options, fn func(c *Comm
 		return nil, fmt.Errorf("mpi: fault injection is in-process only; a Transport world gets its faults from the real network")
 	}
 	opt.Watchdog = 0
-	opt = opt.normalized()
-	w := newWorld(size, opt)
-	var err error
-	func() {
-		defer func() {
-			w.finish(rank)
-			switch v := recover().(type) {
-			case nil:
-			case transportFailure:
-				err = v.err
-			default:
-				panic(v)
-			}
-		}()
-		c := newComm(w, nil, rank, size, nil)
-		c.tr = tr
-		err = fn(c)
-	}()
-	bridgeStats(w.stats, false, 0)
-	return w.stats, err
+	w := newWorld(size, opt.normalized())
+	w.remote = true
+	return w.run(rank, rank+1, func(int) Transport { return tr }, fn)
+}
+
+// chanTransport is the in-process Transport of one world: a buffered
+// channel of capacity Options.ChanCap per (communicator, source,
+// destination) stream, allocated on first use by either end. Blocked
+// operations register with the world's watchdog and give up when the
+// world aborts.
+type chanTransport struct {
+	w       *world
+	mu      sync.Mutex
+	streams map[streamKey]chan message
+}
+
+type streamKey struct {
+	comm     uint64
+	src, dst int
+}
+
+func newChanTransport(w *world) *chanTransport {
+	return &chanTransport{w: w, streams: make(map[streamKey]chan message)}
+}
+
+// endpoint is world rank rank's view of the transport. Its stream cache
+// belongs to that rank's goroutine, so steady-state traffic takes no lock.
+func (t *chanTransport) endpoint(rank int) Transport {
+	return &chanEndpoint{t: t, rank: rank, cache: make(map[streamKey]chan message)}
+}
+
+func (t *chanTransport) stream(k streamKey) chan message {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	ch, ok := t.streams[k]
+	if !ok {
+		ch = make(chan message, t.w.opt.ChanCap)
+		t.streams[k] = ch
+	}
+	return ch
+}
+
+type chanEndpoint struct {
+	t     *chanTransport
+	rank  int
+	cache map[streamKey]chan message
+}
+
+func (e *chanEndpoint) stream(comm uint64, src, dst int) chan message {
+	k := streamKey{comm, src, dst}
+	ch, ok := e.cache[k]
+	if !ok {
+		ch = e.t.stream(k)
+		e.cache[k] = ch
+	}
+	return ch
+}
+
+func (e *chanEndpoint) Send(comm uint64, dst, tag int, data any) (time.Duration, error) {
+	ch := e.stream(comm, e.rank, dst)
+	m := message{tag: tag, data: data}
+	select {
+	case ch <- m:
+		return 0, nil
+	default:
+	}
+	end := e.t.w.enterBlocked(e.rank, "send", dst, tag)
+	select {
+	case ch <- m:
+		return end(), nil
+	case <-e.t.w.abort:
+		end()
+		return 0, errAborted
+	}
+}
+
+func (e *chanEndpoint) Recv(comm uint64, src, tag int) (any, int, time.Duration, error) {
+	ch := e.stream(comm, src, e.rank)
+	select {
+	case m := <-ch:
+		return m.data, m.tag, 0, nil
+	default:
+	}
+	end := e.t.w.enterBlocked(e.rank, "recv", src, tag)
+	select {
+	case m := <-ch:
+		return m.data, m.tag, end(), nil
+	case <-e.t.w.abort:
+		end()
+		return nil, 0, 0, errAborted
+	}
 }
 
 // deriveCommID computes the communicator id a Split of parent yields for

@@ -164,50 +164,67 @@ func diffParts(t *testing.T, label string, got, want []int32) {
 // TestTransportTrafficParity: the transport must not change what the
 // algorithm sends — per world rank, the message count, payload bytes, and
 // collective entries over mpinet must equal an OnEvent tally of the same
-// run on the in-process substrate.
+// run on the in-process substrate. The split job pins that Split costs
+// the same on both (its sub-communicator ids are derived, never sent).
 func TestTransportTrafficParity(t *testing.T) {
-	const ranks, n, seed = 3, 260, 7
+	const n, seed = 260, 7
 	g, err := datasets.Generate("xyce680s", n, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := graph.ToHypergraph(g)
-	phgOpt := phg.Options{Serial: hgp.Options{K: ranks, Seed: seed}}
-
-	var mu sync.Mutex
-	var msgs, bytes, colls [ranks]int64
-	if _, err := mpi.RunWith(ranks, mpi.Options{OnEvent: func(e mpi.Event) {
-		mu.Lock()
-		defer mu.Unlock()
-		switch e.Op {
-		case "send":
-			msgs[e.Rank]++
-			bytes[e.Rank] += e.Bytes
-		case "recv":
-		default:
-			colls[e.Rank]++
-		}
-	}}, func(c *mpi.Comm) error {
-		_, err := phg.Partition(c, h, phgOpt)
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	payload, err := jobs.EncodePHG(h, phgOpt)
+	phgOpt := phg.Options{Serial: hgp.Options{K: 3, Seed: seed}}
+	phgPayload, err := jobs.EncodePHG(h, phgOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := mpinet.RunWorld(context.Background(), jobs.PHGPartition, payload, bootWorkers(t, ranks),
-		mpinet.Options{RecvTimeout: time.Minute})
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		job     string
+		ranks   int
+		payload []byte
+		inProc  func(c *mpi.Comm) error
+	}{
+		{jobs.PHGPartition, 3, phgPayload, func(c *mpi.Comm) error {
+			_, err := phg.Partition(c, h, phgOpt)
+			return err
+		}},
+		{"parity.split", 4, nil, func(c *mpi.Comm) error {
+			_, err := splitJob(c, nil)
+			return err
+		}},
 	}
-	for _, r := range res.Ranks {
-		if r.Messages != msgs[r.Rank] || r.Bytes != bytes[r.Rank] || r.Collectives != colls[r.Rank] {
-			t.Errorf("rank %d traffic: mpinet %d msgs / %d bytes / %d collectives, in-process %d / %d / %d",
-				r.Rank, r.Messages, r.Bytes, r.Collectives, msgs[r.Rank], bytes[r.Rank], colls[r.Rank])
-		}
+	for _, tc := range cases {
+		t.Run(tc.job, func(t *testing.T) {
+			var mu sync.Mutex
+			msgs := make([]int64, tc.ranks)
+			bytes := make([]int64, tc.ranks)
+			colls := make([]int64, tc.ranks)
+			if _, err := mpi.RunWith(tc.ranks, mpi.Options{OnEvent: func(e mpi.Event) {
+				mu.Lock()
+				defer mu.Unlock()
+				switch e.Op {
+				case "send":
+					msgs[e.Rank]++
+					bytes[e.Rank] += e.Bytes
+				case "recv":
+				default:
+					colls[e.Rank]++
+				}
+			}}, tc.inProc); err != nil {
+				t.Fatal(err)
+			}
+			res, err := mpinet.RunWorld(context.Background(), tc.job, tc.payload, bootWorkers(t, tc.ranks),
+				mpinet.Options{RecvTimeout: time.Minute})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range res.Ranks {
+				if r.Messages != msgs[r.Rank] || r.Bytes != bytes[r.Rank] || r.Collectives != colls[r.Rank] {
+					t.Errorf("rank %d traffic: mpinet %d msgs / %d bytes / %d collectives, in-process %d / %d / %d",
+						r.Rank, r.Messages, r.Bytes, r.Collectives, msgs[r.Rank], bytes[r.Rank], colls[r.Rank])
+				}
+			}
+		})
 	}
 }
 
@@ -286,17 +303,20 @@ func init() {
 		}
 		return nil, nil
 	})
-	mpinet.RegisterJob("parity.split", func(c *mpi.Comm, _ []byte) ([]byte, error) {
-		// Sub-communicators derive their stream ids without a wire exchange;
-		// both halves must reduce independently and agree on the result.
-		sub := c.Split(c.Rank()%2, c.Rank())
-		got := mpi.Allreduce(sub, int64(c.Rank()), mpi.SumInt64)
-		var want int64
-		for r := c.Rank() % 2; r < c.Size(); r += 2 {
-			want += int64(r)
-		}
-		return nil, edgeErr(got == want, "rank %d: split Allreduce = %d, want %d", c.Rank(), got, want)
-	})
+	mpinet.RegisterJob("parity.split", splitJob)
+}
+
+// splitJob splits the world by rank parity; sub-communicators derive
+// their stream ids without a wire exchange, and both halves must reduce
+// independently and agree on the result.
+func splitJob(c *mpi.Comm, _ []byte) ([]byte, error) {
+	sub := c.Split(c.Rank()%2, c.Rank())
+	got := mpi.Allreduce(sub, int64(c.Rank()), mpi.SumInt64)
+	var want int64
+	for r := c.Rank() % 2; r < c.Size(); r += 2 {
+		want += int64(r)
+	}
+	return nil, edgeErr(got == want, "rank %d: split Allreduce = %d, want %d", c.Rank(), got, want)
 }
 
 func TestTransportCollectiveEdgeCases(t *testing.T) {

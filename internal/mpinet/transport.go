@@ -16,8 +16,8 @@ import (
 // per world and ships them in the launch frame, so all ranks agree.
 type Options struct {
 	// SendWindow is the per-peer outbound flow-control window in messages,
-	// mirroring the in-process substrate's Options.ChanCap; a send beyond
-	// it blocks (and counts as a blocked send). 0 means mpi.DefaultChanCap.
+	// the network counterpart of mpi.Options.ChanCap; a send beyond it
+	// blocks (and counts as a blocked send). 0 means mpi.DefaultChanCap.
 	SendWindow int
 	// RecvTimeout bounds a blocked receive; past it the rank fails with a
 	// structured stall error — the transport-world analogue of the
@@ -57,9 +57,7 @@ func (o Options) withDefaults() Options {
 var errClosed = errors.New("mpinet: transport closed")
 
 // qkey identifies one inbound message stream: (communicator, source world
-// rank). Tags stay inside the stream — like the in-process substrate, a
-// tag mismatch at the head of the stream is a protocol error, not a
-// filter.
+// rank). Tags stay inside the stream; the Comm layer checks them.
 type qkey struct {
 	comm uint64
 	src  int
@@ -315,9 +313,9 @@ func (t *netTransport) enqueue(q chan msgBody, m msgBody) (time.Duration, error)
 	}
 }
 
-// Recv implements mpi.Transport. Like the in-process substrate, a tag
-// mismatch at the head of the (comm, src) stream is a protocol error.
-func (t *netTransport) Recv(comm uint64, src, tag int) (any, time.Duration, error) {
+// Recv implements mpi.Transport: the head of the (comm, src) stream and
+// its tag (the Comm layer matches tags).
+func (t *netTransport) Recv(comm uint64, src, tag int) (any, int, time.Duration, error) {
 	q := t.queue(qkey{comm, src})
 	var m msgBody
 	var stall time.Duration
@@ -332,22 +330,19 @@ func (t *netTransport) Recv(comm uint64, src, tag int) (any, time.Duration, erro
 			stall = time.Since(start)
 		case <-t.dead:
 			timer.Stop()
-			return nil, 0, t.failErr()
+			return nil, 0, 0, t.failErr()
 		case <-timer.C:
-			return nil, 0, fmt.Errorf("mpinet: world %s: %w", t.worldID, &mpi.DeadlockError{
+			return nil, 0, 0, fmt.Errorf("mpinet: world %s: %w", t.worldID, &mpi.DeadlockError{
 				Deadline: t.opt.RecvTimeout,
 				Blocked:  []mpi.BlockedOp{{Rank: t.rank, Op: "recv", Peer: src, Tag: tag, For: t.opt.RecvTimeout}},
 			})
 		}
 	}
-	if m.Tag != tag {
-		return nil, 0, fmt.Errorf("mpinet: rank %d expected tag %d from %d, got %d", t.rank, tag, src, m.Tag)
-	}
 	data, err := decodePayload(m.TypeName, m.Payload)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
-	return data, stall, nil
+	return data, m.Tag, stall, nil
 }
 
 // shutdown flushes and tears down the mesh after the rank's function has

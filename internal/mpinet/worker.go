@@ -263,7 +263,7 @@ func (w *Worker) runLaunch(l launchBody, ctrl net.Conn) {
 		return
 	}
 	var out []byte
-	stats, err := mpi.RunTransportRank(tr, l.Rank, l.Size, mpi.Options{ChanCap: l.SendWindow}, func(c *mpi.Comm) error {
+	stats, err := mpi.RunTransportRank(tr, l.Rank, l.Size, mpi.Options{}, func(c *mpi.Comm) error {
 		var jerr error
 		out, jerr = fn(c, l.Payload)
 		return jerr

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -27,6 +28,15 @@ func init() {
 			time.Sleep(10 * time.Millisecond)
 		}
 		return binary.AppendVarint(nil, total), nil
+	})
+	RegisterJob("test.tag-mismatch", func(c *mpi.Comm, payload []byte) ([]byte, error) {
+		// A protocol bug: rank 1 awaits tag 2 where rank 0 sends tag 1.
+		if c.Rank() == 0 {
+			c.Send(1, 1, int64(7))
+		} else {
+			c.Recv(0, 2)
+		}
+		return nil, nil
 	})
 	RegisterJob("test.fail", func(c *mpi.Comm, payload []byte) ([]byte, error) {
 		if c.Rank() == 1 {
@@ -92,6 +102,26 @@ func TestRunWorldJobError(t *testing.T) {
 	_, err := RunWorld(context.Background(), "test.fail", nil, addrs, Options{RecvTimeout: 5 * time.Second})
 	if err == nil {
 		t.Fatal("expected an error from the failing job")
+	}
+}
+
+// A tag mismatch in a job is a rank error naming both tags, not a panic
+// that takes the worker process down: the same workers run the next job.
+func TestRunWorldTagMismatch(t *testing.T) {
+	addrs, _ := startWorkers(t, 2)
+	_, err := RunWorld(context.Background(), "test.tag-mismatch", nil, addrs, Options{RecvTimeout: 5 * time.Second})
+	if err == nil {
+		t.Fatal("expected a tag-mismatch error")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "expected tag 2") || !strings.Contains(msg, "got tag 1") {
+		t.Fatalf("error %q does not name both tags", msg)
+	}
+	res, err := RunWorld(context.Background(), "test.sum", binary.AppendVarint(nil, 1), addrs, Options{})
+	if err != nil {
+		t.Fatalf("clean job after a tag mismatch: %v", err)
+	}
+	if got, _ := binary.Varint(res.Root()); got != 3 {
+		t.Fatalf("sum = %d, want 3", got)
 	}
 }
 
